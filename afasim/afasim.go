@@ -12,8 +12,9 @@
 //
 // Every figure of the paper has a RunFigNN function, and the named
 // configurations reproduce the paper's tuning ladder: Default → CHRT →
-// Isolcpus → IRQAffinity → ExpFirmware. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// Isolcpus → IRQAffinity → ExpFirmware. Every figure, table and ablation
+// is also one entry of the Experiments registry, whose Report renders
+// with WriteReport. See EXPERIMENTS.md for the paper-vs-measured record.
 //
 // The heavy lifting lives in the internal packages (scheduler, IRQ
 // subsystem, PCIe fabric, NVMe/NAND models, FIO-like generator); this
@@ -58,6 +59,11 @@ type (
 	ExpOptions = core.ExpOptions
 	// Headline is the abstract's ×8/×400 claim check.
 	Headline = core.Headline
+	// Experiment is one registry entry: a figure, table, the headline,
+	// or an ablation.
+	Experiment = core.Experiment
+	// Report is the uniform result of every experiment.
+	Report = core.Report
 )
 
 // Fault injection and host-side tolerance (see DESIGN.md §6).
@@ -135,8 +141,18 @@ var (
 	RunPTSLatencyTest     = core.RunPTSLatencyTest
 )
 
+// The experiment registry: every figure, table, the headline and every
+// ablation, each run by Experiment.Report.
+var (
+	Experiments = core.Experiments
+	Lookup      = core.Lookup
+)
+
 // Report rendering.
 var (
+	WriteReport            = core.WriteReport
+	WriteReportJSON        = core.WriteReportJSON
+	WriteReportCSV         = core.WriteReportCSV
 	WriteDistributionTable = core.WriteDistributionTable
 	WriteComparisonTable   = core.WriteComparisonTable
 	WriteTableII           = core.WriteTableII
@@ -145,6 +161,4 @@ var (
 	WriteDistributionJSON  = core.WriteDistributionJSON
 	WriteDistributionCSV   = core.WriteDistributionCSV
 	WriteFig10CSV          = core.WriteFig10CSV
-	WriteFaultAblation     = core.WriteFaultAblation
-	WriteRecoverySeries    = core.WriteRecoverySeries
 )

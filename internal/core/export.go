@@ -41,11 +41,16 @@ func exportOf(d Distribution) exportedDistribution {
 	return e
 }
 
-// WriteDistributionJSON emits one Distribution as indented JSON.
-func WriteDistributionJSON(w io.Writer, d Distribution) error {
+// writeJSON is the one JSON export path: v as two-space-indented JSON.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(exportOf(d))
+	return enc.Encode(v)
+}
+
+// WriteDistributionJSON emits one Distribution as indented JSON.
+func WriteDistributionJSON(w io.Writer, d Distribution) error {
+	return writeJSON(w, exportOf(d))
 }
 
 // WriteDistributionsJSON emits several Distributions (a Fig 12/14-style
@@ -55,9 +60,7 @@ func WriteDistributionsJSON(w io.Writer, ds []Distribution) error {
 	for i, d := range ds {
 		out[i] = exportOf(d)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return writeJSON(w, out)
 }
 
 // WriteDistributionCSV emits a Distribution as CSV: one row per SSD, one
@@ -86,11 +89,15 @@ func WriteDistributionCSV(w io.Writer, d Distribution) error {
 // (ssd, completion_ns, latency_ns) — the raw material of the paper's
 // Fig 10 plot.
 func WriteFig10CSV(w io.Writer, r Fig10Result) error {
+	return writeSamplesCSV(w, r.Logs)
+}
+
+func writeSamplesCSV(w io.Writer, logs [][]stats.Sample) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"ssd", "at_ns", "latency_ns"}); err != nil {
 		return err
 	}
-	for ssd, log := range r.Logs {
+	for ssd, log := range logs {
 		for _, s := range log {
 			row := []string{
 				strconv.Itoa(ssd),
@@ -104,6 +111,65 @@ func WriteFig10CSV(w io.Writer, r Fig10Result) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// MarshalJSON exports an arm as its distribution's JSON shape plus the
+// failure trace.
+func (a Arm) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		exportedDistribution
+		Trace string `json:"trace,omitempty"`
+	}{exportOf(a.Distribution), a.Trace})
+}
+
+// WriteReportJSON emits a report as indented JSON. A report that is
+// nothing but distributions — the single-configuration figures, the
+// comparisons, a figure's seed sweep — keeps the distribution export
+// shape (one WriteDistributionJSON object, or a WriteDistributionsJSON
+// array when there are several), which plotting pipelines and
+// ReadDistributionJSON consume; every other report is encoded whole.
+func WriteReportJSON(w io.Writer, r Report) error {
+	if ds := r.onlyDistributions(); len(ds) == 1 {
+		return WriteDistributionJSON(w, ds[0])
+	} else if len(ds) > 1 {
+		return WriteDistributionsJSON(w, ds)
+	}
+	return writeJSON(w, r)
+}
+
+// onlyDistributions returns the report's distributions if its sections
+// hold nothing else, and nil otherwise.
+func (r Report) onlyDistributions() []Distribution {
+	var ds []Distribution
+	for _, s := range r.Sections {
+		if s.Heading != "" || s.View == ViewNone || s.Counters != nil || len(s.Notes) > 0 {
+			return nil
+		}
+		ds = append(ds, s.distributions()...)
+	}
+	return ds
+}
+
+// WriteReportCSV emits a report as CSV: its raw samples if it has them
+// (Fig 10), otherwise every arm's per-SSD ladders (WriteDistributionCSV),
+// arm after arm. A report with neither has no CSV form.
+func WriteReportCSV(w io.Writer, r Report) error {
+	if r.Samples != nil {
+		return writeSamplesCSV(w, r.Samples)
+	}
+	n := 0
+	for _, s := range r.Sections {
+		for _, a := range s.Arms {
+			if err := WriteDistributionCSV(w, a.Distribution); err != nil {
+				return err
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return fmt.Errorf("core: %s has no CSV form (no distributions or samples)", r.Name)
+	}
+	return nil
 }
 
 // ParallelBenchRow is one serial-vs-parallel wall-clock measurement of
@@ -125,9 +191,7 @@ type ParallelBenchRow struct {
 // WriteParallelBenchJSON emits the speedup summary as indented JSON,
 // through the same export path the distribution reports use.
 func WriteParallelBenchJSON(w io.Writer, rows []ParallelBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
+	return writeJSON(w, rows)
 }
 
 // EngineBenchRow is one engine-throughput measurement: how many
@@ -165,9 +229,7 @@ type EngineBenchRow struct {
 // WriteEngineBenchJSON emits the engine-throughput summary as indented
 // JSON, through the same export path the other BENCH files use.
 func WriteEngineBenchJSON(w io.Writer, rows []EngineBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
+	return writeJSON(w, rows)
 }
 
 // ReadDistributionJSON parses what WriteDistributionJSON wrote — round-trip

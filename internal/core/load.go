@@ -19,7 +19,7 @@ package core
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 
 	"repro/internal/fio"
 	"repro/internal/kernel"
@@ -288,36 +288,47 @@ func RunLoadLadder(o ExpOptions) Distribution {
 		Summary: stats.Summarize(ladders)}
 }
 
-// WriteLoadAblation renders the grid: per-arm rung tables (arrival
-// accounting plus the total and latency-sensitive ladders), then the
-// knee verdict.
-func WriteLoadAblation(w io.Writer, a LoadAblation) {
-	fmt.Fprintf(w, "capacity %.0f IOPS (closed-loop QD%d probe)\n", a.Capacity, loadProbeQD)
+// loadReport lays out the grid: the capacity, per-arm rung tables
+// (arrival accounting plus the total and latency-sensitive ladders),
+// then the knee verdicts.
+func loadReport(a LoadAblation) Report {
+	rep := notesReport([]string{fmt.Sprintf("capacity %.0f IOPS (closed-loop QD%d probe)", a.Capacity, loadProbeQD)})
 	for _, arm := range []string{"open", "admit"} {
-		fmt.Fprintf(w, "\n%s arm:\n", arm)
-		fmt.Fprintf(w, "%6s %10s %10s %10s %8s %9s %12s %12s %12s %14s\n",
-			"load", "offered", "admitted", "completed", "shed", "throttled",
-			"p99(µs)", "p99.9(µs)", "max(µs)", "LS-p99.9(µs)")
+		s := Section{Heading: arm + " arm:"}
+		var runs []LoadRun
 		for _, r := range a.Runs {
-			if r.Arm != arm {
-				continue
+			if r.Arm == arm {
+				runs = append(runs, r)
+				s.Arms = append(s.Arms, ladderArm(r.Name, r.Total,
+					r.Class[kernel.ClassLatency].Ladder, r.Class[kernel.ClassThroughput].Ladder, r.Class[kernel.ClassBackground].Ladder))
 			}
-			ls := r.Class[kernel.ClassLatency].Ladder
-			fmt.Fprintf(w, "%5.0f%% %10d %10d %10d %8d %9d %12.1f %12.1f %12.1f %14.1f\n",
-				r.Frac*100, r.Offered, r.Admitted, r.Completed, r.Shed, r.Throttled,
-				r.Total.Rung(1)/1e3, r.Total.Rung(2)/1e3, r.Total.Rung(6)/1e3,
-				ls.Rung(2)/1e3)
 		}
+		lat := func(name string, rung int, l func(LoadRun) stats.Ladder) stat[LoadRun] {
+			return stat[LoadRun]{name: name, prec: 1, of: func(r LoadRun) float64 { return l(r).Rung(rung) / 1e3 }}
+		}
+		total := func(r LoadRun) stats.Ladder { return r.Total }
+		s.Counters = statCols("load", runs, func(r LoadRun) string { return strconv.FormatFloat(r.Frac*100, 'f', 0, 64) + "%" },
+			count("offered", func(r LoadRun) int64 { return r.Offered }),
+			count("admitted", func(r LoadRun) int64 { return r.Admitted }),
+			count("completed", func(r LoadRun) int64 { return r.Completed }),
+			count("shed", func(r LoadRun) int64 { return r.Shed }),
+			count("throttled", func(r LoadRun) int64 { return r.Throttled }),
+			lat("p99(µs)", 1, total),
+			lat("p99.9(µs)", 2, total),
+			lat("max(µs)", 6, total),
+			lat("LS-p99.9(µs)", 2, func(r LoadRun) stats.Ladder { return r.Class[kernel.ClassLatency].Ladder }))
+		rep.Sections = append(rep.Sections, s)
 	}
-	fmt.Fprintln(w)
+	last := &rep.Sections[len(rep.Sections)-1]
 	if frac, ratio, ok := a.Knee("open"); ok {
-		fmt.Fprintf(w, "open-arm knee at %.0f%% load (p99 %.1f× the lowest rung)\n", frac*100, ratio)
+		last.Notes = append(last.Notes, fmt.Sprintf("open-arm knee at %.0f%% load (p99 %.1f× the lowest rung)", frac*100, ratio))
 	} else {
-		fmt.Fprintf(w, "open arm never crossed the 5× knee threshold\n")
+		last.Notes = append(last.Notes, "open arm never crossed the 5× knee threshold")
 	}
 	if frac, ratio, ok := a.Knee("admit"); ok {
-		fmt.Fprintf(w, "admit-arm knee at %.0f%% load (p99 %.1f× the lowest rung)\n", frac*100, ratio)
+		last.Notes = append(last.Notes, fmt.Sprintf("admit-arm knee at %.0f%% load (p99 %.1f× the lowest rung)", frac*100, ratio))
 	} else {
-		fmt.Fprintf(w, "admit arm stayed below the 5× knee threshold across the ladder\n")
+		last.Notes = append(last.Notes, "admit arm stayed below the 5× knee threshold across the ladder")
 	}
+	return rep
 }

@@ -81,7 +81,7 @@ func TestLoadAblationKnee(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	WriteLoadAblation(&buf, a)
+	WriteReport(&buf, loadReport(a))
 	out := buf.String()
 	for _, want := range []string{"capacity", "open arm:", "admit arm:", "open-arm knee"} {
 		if !strings.Contains(out, want) {

@@ -27,18 +27,13 @@
 #                  this runs, and -shuffle=on implies -count=1 so
 #                  nothing is served from the test cache.
 #   parallel     — the serial-vs-parallel determinism cross-check re-run
-#                  under -race: exported reports of every fan-out —
-#                  including the write ablation and its rebuild stream —
-#                  must be byte-identical at -parallel 1 and 8.
-#   load smoke   — afareport's open-loop offered-load ladder end to end
-#                  at a small scale: the capacity probe, both arms of
-#                  the rung grid, and the knee detection all execute
-#                  through the real CLI path.
-#   iopath smoke — the I/O-path grid end to end at a small scale: all
-#                  four completion paths on both device classes,
-#                  including the tenant-owned passthrough queues and
-#                  the ULL fabric/device profile, through the real CLI
-#                  path.
+#                  under -race: the report of every registry experiment
+#                  (figures, tables, headline, every ablation) must be
+#                  byte-identical at -parallel 1 and 8.
+#   all smoke    — `afareport -all` at the tests' small scale (12 SSDs,
+#                  60 ms): every registry entry runs end to end through
+#                  the real CLI path, flag parsing and input checks
+#                  included. The load ablation is the longest (~5 s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,5 +44,4 @@ go run ./cmd/afalint -perf -baseline lint_perf.baseline ./...
 go run ./cmd/afalint -state -baseline lint_state.baseline ./...
 go test -race -shuffle=on ./...
 go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
-go run ./cmd/afareport -ablate load -ssds 4 -runtime 40ms >/dev/null
-go run ./cmd/afareport -ablate iopath -ssds 4 -runtime 40ms >/dev/null
+go run ./cmd/afareport -all -ssds 12 -runtime 60ms -seed 7 -solo-runs 2 >/dev/null
