@@ -222,8 +222,10 @@ func BenchmarkWritePath(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures the simulator's own inner loop:
-// discrete events per wall-clock second on the headline configuration
-// (64 SSDs, default kernel, one QD1 FIO thread per device). Every
+// discrete events and simulated I/Os per wall-clock second on the
+// headline configuration (64 SSDs, default kernel, one QD1 FIO thread
+// per device). I/Os per second is the work rate; events per second
+// falls when a change removes events, even as runs get faster. Every
 // figure, ablation, and sweep in this repository is a multiple of this
 // number, so it is tracked per commit in BENCH_engine.json like the
 // parallel and write-path benches. The afaperf rules (`afalint -perf`)
@@ -250,9 +252,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			IOs:          ios,
 			WallMs:       float64(wall) / 1e6,
 			EventsPerSec: float64(sys.Eng.Steps()) / wall.Seconds(),
+			IOsPerSec:    float64(ios) / wall.Seconds(),
 		}
 	}
 	b.ReportMetric(row.EventsPerSec/1e6, "Mevents/sec")
+	b.ReportMetric(row.IOsPerSec/1e6, "Mios/sec")
 	b.ReportMetric(float64(row.Events), "events")
 	b.ReportMetric(float64(row.IOs), "ios")
 	if row.Events == 0 || row.IOs == 0 {

@@ -210,8 +210,12 @@ type EngineBenchRow struct {
 	IOs int64 `json:"ios"`
 	// WallMs is host wall-clock time for the run, not simulated time.
 	WallMs float64 `json:"wall_ms"`
-	// EventsPerSec is the headline metric: Events / (WallMs/1000).
+	// EventsPerSec is Events / (WallMs/1000).
 	EventsPerSec float64 `json:"events_per_sec"`
+	// IOsPerSec is IOs / (WallMs/1000): simulated work per wall second,
+	// set by BenchmarkEngineThroughput. Unlike EventsPerSec it rises
+	// when a change does the same I/Os with fewer events.
+	IOsPerSec float64 `json:"ios_per_sec,omitempty"`
 	// Arrivals / ArrivalsPerSec are set by the open-loop multiplexer
 	// benchmarks (BenchmarkTenantMux): offered arrivals processed and
 	// the wall-clock rate they were processed at. Zero (omitted) for

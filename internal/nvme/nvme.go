@@ -495,7 +495,9 @@ func (c *Controller) slowFactor() float64 { return c.readSlow * c.stormSlow }
 // through the controller's freelist and their stage callbacks are bound
 // once at creation, so steady-state command traffic schedules every stage
 // without allocating: the old continuation-passing closures were the
-// single largest entry in the allocation profile.
+// single largest entry in the allocation profile. A read that meets no
+// housekeeping stall starts its media access inline in fetched, so only
+// a SMART-stalled read spends an event on reaching mediaStart.
 type ioReq struct {
 	c    *Controller
 	cmd  Command
@@ -596,18 +598,19 @@ func (r *ioReq) fetched() {
 	}
 }
 
-// mediaRead waits out any housekeeping stall, reads NAND, and returns the
-// payload upstream.
+// mediaRead reads NAND and returns the payload upstream. With no
+// housekeeping stall the media access starts inline, at the fetch
+// instant; a SMART-stalled read waits the stall out in an event.
 func (r *ioReq) mediaRead() {
 	c := r.c
 	now := c.eng.Now()
-	var stall sim.Duration
-	if c.blockedUntil > now {
-		stall = c.blockedUntil.Sub(now)
-		r.res.BlockedBySMART = true
-		c.stats.SMARTBlockedIOs++
+	if c.blockedUntil <= now {
+		r.mediaStart()
+		return
 	}
-	c.eng.Schedule(stall, r.mediaFn)
+	r.res.BlockedBySMART = true
+	c.stats.SMARTBlockedIOs++
+	c.eng.Schedule(c.blockedUntil.Sub(now), r.mediaFn)
 }
 
 // mediaStart performs the NAND array read once any stall has drained.

@@ -34,16 +34,18 @@ type CPU struct {
 	stealQ   []stealItem
 	stealCur stealItem // item whose steal window is in flight
 
-	// burstDone/deepen/stealDone bound once at construction: dispatch and
+	// burstDone/stealDone bound once at construction: dispatch and
 	// interrupt stealing run per I/O, and a fresh method-value closure per
 	// event would dominate the allocation profile.
 	burstDoneFn func()
-	deepenFn    func()
 	stealDoneFn func()
 
-	idleSince   sim.Time
-	cstate      int // -1 active/poll, else index into cstates
-	deepenTimer *sim.Timer // reused for every C-state promotion
+	idleSince sim.Time
+	// cstate is -1 while active or polling; while idle it is the deepest
+	// C-state (index into cstates, MaxCState applied) this idle period
+	// may reach. exitIdle picks the state actually reached from how long
+	// the CPU has been idle.
+	cstate      int
 	pendingExit sim.Duration // C-state exit latency to charge on next dispatch
 
 	busyTime   sim.Duration
@@ -534,60 +536,31 @@ func (c *CPU) bestQueued() *Task {
 // ---- idle & C-states ----
 
 func (c *CPU) enterIdle() {
-	now := c.s.eng.Now()
-	c.idleSince = now
+	c.idleSince = c.s.eng.Now()
 	if c.s.opts.IdlePoll {
 		c.cstate = -1 // polling: zero exit latency
 		return
 	}
-	c.setCState(0) // C1 immediately
-	c.armDeepen()
+	deepest := len(c.s.cstates) - 1
+	if m := c.s.opts.MaxCState; m > 0 && m-1 < deepest {
+		deepest = m - 1
+	}
+	c.cstate = deepest
 }
 
-func (c *CPU) setCState(i int) {
-	max := len(c.s.cstates) - 1
-	if m := c.s.opts.MaxCState; m > 0 && m-1 < max {
-		max = m - 1
-	}
-	if i > max {
-		i = max
-	}
-	c.cstate = i
-}
-
-// armDeepen schedules promotion to the next deeper C-state.
-func (c *CPU) armDeepen() {
-	next := c.cstate + 1
-	max := len(c.s.cstates) - 1
-	if m := c.s.opts.MaxCState; m > 0 && m-1 < max {
-		max = m - 1
-	}
-	if next > max {
-		return
-	}
-	wait := c.s.cstates[next].Residency - c.s.eng.Now().Sub(c.idleSince)
-	if wait < 0 {
-		wait = 0
-	}
-	c.deepenTimer.Arm(wait, c.deepenFn)
-}
-
-// deepen promotes the idle CPU one C-state deeper. Between arming and
-// firing the C-state cannot change (exitIdle cancels the deepen timer),
-// so the
-// target state is recomputed here rather than captured per arm.
-func (c *CPU) deepen() {
-	c.cstate++
-	c.armDeepen()
-}
-
-// exitIdle leaves the idle state, returning the exit latency to charge.
+// exitIdle leaves the idle state, returning the exit latency to charge:
+// that of the deepest allowed C-state whose target residency the idle
+// period has reached. The state is a pure function of the idle time, so
+// no timer tracks promotions while the CPU sleeps.
 func (c *CPU) exitIdle() sim.Duration {
-	c.deepenTimer.Cancel()
-	if c.cstate < 0 {
+	i := c.cstate
+	if i < 0 {
 		return 0 // polling or active
 	}
-	d := c.s.cstates[c.cstate].ExitLatency
 	c.cstate = -1
-	return d
+	idle := c.s.eng.Now().Sub(c.idleSince)
+	for i > 0 && c.s.cstates[i].Residency > idle {
+		i--
+	}
+	return c.s.cstates[i].ExitLatency
 }

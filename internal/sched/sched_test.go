@@ -573,3 +573,48 @@ func TestInvalidTaskParamsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestCStateBoundaries: the wake charges the exit latency of the deepest
+// allowed C-state whose target residency the idle period reached, right
+// at each residency boundary (C3 at 100µs, C6 at 600µs).
+func TestCStateBoundaries(t *testing.T) {
+	const work = 10 * sim.Microsecond
+	idles := []sim.Duration{
+		99999 * sim.Nanosecond, 100 * sim.Microsecond,
+		599999 * sim.Nanosecond, 600 * sim.Microsecond,
+	}
+	for _, tc := range []struct {
+		name string
+		boot BootOptions
+		want []sim.Duration
+	}{
+		{"uncapped", BootOptions{}, []sim.Duration{2 * sim.Microsecond, 60 * sim.Microsecond, 60 * sim.Microsecond, 130 * sim.Microsecond}},
+		{"max_cstate=2", BootOptions{MaxCState: 2}, []sim.Duration{2 * sim.Microsecond, 60 * sim.Microsecond, 60 * sim.Microsecond, 60 * sim.Microsecond}},
+		{"idle=poll", BootOptions{IdlePoll: true}, []sim.Duration{0, 0, 0, 0}},
+	} {
+		for i, idle := range idles {
+			eng, s := newSched(t, 1, tc.boot) // the CPU goes idle at boot, t=0
+			eng.RunUntil(sim.Time(idle))
+			var done sim.Time
+			s.CPU(0).Steal(work, func() { done = eng.Now() })
+			eng.RunUntil(sim.Time(sim.Millisecond))
+			if got := done.Sub(sim.Time(idle)) - work; got != tc.want[i] {
+				t.Errorf("%s: idle %v charged %v exit latency, want %v", tc.name, idle, got, tc.want[i])
+			}
+		}
+	}
+}
+
+// TestIdleCPUsQueueOnlyTheirTicks: idle CPUs keep no C-state promotion
+// event; each holds exactly its tick, beside the one balancer ticker.
+func TestIdleCPUsQueueOnlyTheirTicks(t *testing.T) {
+	for _, n := range []int{1, 8} {
+		eng, _ := newSched(t, n, BootOptions{})
+		for _, at := range []sim.Duration{0, 50 * sim.Microsecond, 300 * sim.Microsecond, 700 * sim.Microsecond} {
+			eng.RunUntil(sim.Time(at))
+			if got := eng.Pending(); got != n+1 {
+				t.Fatalf("%d idle CPUs at %v: %d pending events, want %d (ticks + balancer)", n, at, got, n+1)
+			}
+		}
+	}
+}

@@ -77,9 +77,7 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	for i := 0; i < cfg.NumCPUs; i++ {
 		c := &CPU{id: i, s: s, cstate: -1}
 		c.burstTimer = eng.NewTimer()
-		c.deepenTimer = eng.NewTimer()
 		c.burstDoneFn = c.burstDone
-		c.deepenFn = c.deepen
 		c.stealDoneFn = c.stealDone
 		s.cpus = append(s.cpus, c)
 		c.enterIdle()

@@ -68,10 +68,22 @@ type Event struct {
 	// engine's freelist. At/After events are pinned — callers may retain
 	// them for Cancel/Reschedule — and are never recycled.
 	pooled bool
+	// deferred marks a Timer re-arm to a deadline no earlier than the
+	// queued one: the event stays in the heap at its earlier (when, seq)
+	// key and takes the reserved key (dWhen, dSeq) when it reaches the
+	// head. See Timer.
+	deferred bool
+	dWhen    Time
+	dSeq     uint64
 }
 
 // When reports the instant the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
+func (e *Event) When() Time {
+	if e.deferred {
+		return e.dWhen
+	}
+	return e.when
+}
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
@@ -129,6 +141,7 @@ func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
 	ev.fn = fn
 	ev.canceled = false
 	ev.pooled = pooled
+	ev.deferred = false
 	ev.index = len(e.queue)
 	e.seq++
 	e.queue = append(e.queue, ev)
@@ -200,6 +213,10 @@ func (e *Engine) Reschedule(ev *Event, t Time) *Event {
 // Step fires the next pending event. It reports false when no events remain.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
+		if e.queue[0].deferred {
+			e.rekeyHead()
+			continue
+		}
 		ev := e.popMin()
 		if ev.canceled {
 			// A pooled tombstone (canceled after Cancel's fast path already
@@ -256,11 +273,26 @@ func (e *Engine) RunUntil(t Time) {
 		if next.when > t {
 			break
 		}
+		if next.deferred {
+			// Its real deadline may lie past t: re-key, then look again.
+			e.rekeyHead()
+			continue
+		}
 		e.Step()
 	}
 	if e.now < t {
 		e.now = t
 	}
+}
+
+// rekeyHead applies the head event's deferred re-arm: the event moves to
+// the key the re-arm reserved, where an eager re-arm would have put it.
+// Nothing fires and no step is counted.
+func (e *Engine) rekeyHead() {
+	ev := e.queue[0]
+	ev.when, ev.seq = ev.dWhen, ev.dSeq
+	ev.deferred = false
+	e.siftDown(0)
 }
 
 // Stop makes the current Run or RunUntil return after the in-flight event
@@ -272,6 +304,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // next fire, a coalescer's flush). Re-arming reuses the same Event
 // storage forever, so steady-state timer traffic allocates nothing.
 // The zero value is not usable; create through Engine.NewTimer.
+//
+// A re-arm that moves an armed timer later does no heap work: the event
+// keeps its queued key and records the new one, reserving the new seq
+// exactly as an eager remove-and-push would. When the event reaches the
+// head, Step and RunUntil re-key it in place without firing it. This is
+// order-exact: every event that precedes the reserved key precedes it
+// in both schemes, the reserved key is unique, and no other event's seq
+// moves, so the fire order, fire instants and Steps() match an eager
+// re-arm. It turns a nohz tick flipping between periods from a heap
+// remove plus insert into three field writes.
 type Timer struct {
 	eng *Engine
 	ev  Event
@@ -301,8 +343,17 @@ func (t *Timer) ArmAt(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	if t.ev.index >= 0 {
+		if at >= t.ev.when {
+			t.ev.fn = fn
+			t.ev.deferred = true
+			t.ev.dWhen = at
+			t.ev.dSeq = e.seq
+			e.seq++
+			return
+		}
 		e.removeAt(t.ev.index)
 	}
+	t.ev.deferred = false
 	t.ev.when = at
 	t.ev.seq = e.seq
 	t.ev.fn = fn
@@ -319,6 +370,7 @@ func (t *Timer) Cancel() {
 		t.eng.removeAt(t.ev.index)
 		t.ev.index = -1
 		t.ev.fn = nil
+		t.ev.deferred = false
 	}
 }
 

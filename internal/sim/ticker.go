@@ -53,7 +53,7 @@ func (t *Ticker) SetPeriod(p Duration) {
 	}
 	t.period = p
 	if !t.stop {
-		t.arm() // Arm cancels the pending fire itself
+		t.arm() // Arm replaces the pending fire; moving it later costs no heap work
 	}
 }
 

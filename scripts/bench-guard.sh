@@ -12,6 +12,10 @@
 #
 #   events_per_sec of the first row (headline-64ssd) — the closed-loop
 #   inner loop;
+#   ios_per_sec of the headline-64ssd row — simulated I/Os per wall
+#   second on the same run. Cutting events per I/O lowers events/sec
+#   while making runs faster; this gate sees the work rate, at the same
+#   threshold;
 #   arrivals_per_sec of each tenant-mux-* row — the open-loop
 #   multiplexer's per-arrival path at 10k and 100k tenant populations;
 #   mean_lat_ns of each iopath-ull-* row — the low-latency tier's
@@ -110,6 +114,17 @@ if [ -z "${fresh}" ]; then
 fi
 
 compare "events/sec" "${baseline}" "${fresh}"
+
+base_ips="$(printf '%s' "${committed}" | extract_row_field headline-64ssd ios_per_sec || true)"
+if [ -n "${base_ips}" ]; then
+  # Skipped while the committed baseline predates the ios_per_sec field.
+  fresh_ips="$(printf '%s' "${fresh_json}" | extract_row_field headline-64ssd ios_per_sec)"
+  if [ -z "${fresh_ips}" ]; then
+    echo "bench-guard: benchmark produced no ios_per_sec for headline-64ssd" >&2
+    exit 1
+  fi
+  compare "headline-64ssd ios/sec" "${base_ips}" "${fresh_ips}"
+fi
 
 for exp in tenant-mux-10k tenant-mux-100k; do
   base_aps="$(printf '%s' "${committed}" | extract_row_field "${exp}" arrivals_per_sec || true)"

@@ -34,6 +34,10 @@
 #                  60 ms): every registry entry runs end to end through
 #                  the real CLI path, flag parsing and input checks
 #                  included. The load ablation is the longest (~5 s).
+#   perfbench    — the benchmark module's own tests (tiny scale, ~3 s).
+#                  perfbench/ is a separate Go module, so `go test ./...`
+#                  above does not reach it, and it is the one consumer of
+#                  the public core/fio/raid API that no other step builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,3 +49,4 @@ go run ./cmd/afalint -state -baseline lint_state.baseline ./...
 go test -race -shuffle=on ./...
 go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
 go run ./cmd/afareport -all -ssds 12 -runtime 60ms -seed 7 -solo-runs 2 >/dev/null
+(cd perfbench && go test ./...)
